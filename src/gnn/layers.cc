@@ -132,9 +132,16 @@ void
 SageMeanLayer::backwardInto(Tensor2D &d_out, const SageContext &ctx,
                             SageLayerGrads &grads, Tensor2D &d_src) const
 {
+    backwardParamsInto(d_out, ctx, grads);
+    backwardInputInto(d_out, ctx, d_src);
+}
+
+void
+SageMeanLayer::backwardParamsInto(Tensor2D &d_out, const SageContext &ctx,
+                                  SageLayerGrads &grads) const
+{
     SS_ASSERT(ctx.block, "backward without forward context");
-    const SampledBlock &block = *ctx.block;
-    std::size_t n_dst = block.numDsts();
+    const std::size_t n_dst = ctx.block->numDsts();
     SS_ASSERT(d_out.rows() == n_dst && d_out.cols() == out_dim_,
               "output grad shape mismatch");
 
@@ -142,7 +149,6 @@ SageMeanLayer::backwardInto(Tensor2D &d_out, const SageContext &ctx,
         reluBackward(d_out, ctx.relu_mask);
     const Tensor2D &dz = d_out;
 
-    // Parameter gradients.
     matmulTNInto(ctx.h_self, dz, grads.w_self);
     matmulTNInto(ctx.h_agg, dz, grads.w_neigh);
     grads.bias.resizeToZero(1, out_dim_);
@@ -152,9 +158,16 @@ SageMeanLayer::backwardInto(Tensor2D &d_out, const SageContext &ctx,
         for (unsigned j = 0; j < out_dim_; ++j)
             brow[j] += zrow[j];
     }
+}
 
-    // Input gradients: self path lands on the dst prefix rows; the
-    // aggregation path scatters 1/deg shares to every sampled src.
+void
+SageMeanLayer::backwardInputInto(const Tensor2D &dz, const SageContext &ctx,
+                                 Tensor2D &d_src) const
+{
+    // Self path lands on the dst prefix rows; the aggregation path
+    // scatters 1/deg shares to every sampled src.
+    const SampledBlock &block = *ctx.block;
+    const std::size_t n_dst = block.numDsts();
     const std::size_t dim = in_dim_;
     matmulNTInto(dz, w_self_, ctx.d_self_ws);
     d_src.resizeTo(ctx.src_rows, dim);

@@ -91,6 +91,15 @@ class SageMeanLayer
     void backwardInto(Tensor2D &d_out, const SageContext &ctx,
                       SageLayerGrads &grads, Tensor2D &d_src) const;
 
+    /**
+     * The parameter half of backwardInto(): masks @p d_out in place
+     * and writes @p grads, but computes no input gradient. Training
+     * runs only this on the first layer, whose input is the raw
+     * feature rows, which have no trainable upstream.
+     */
+    void backwardParamsInto(Tensor2D &d_out, const SageContext &ctx,
+                            SageLayerGrads &grads) const;
+
     /** SGD step: p -= lr * g. */
     void applyGrads(const SageLayerGrads &grads, float lr);
 
@@ -124,6 +133,11 @@ class SageMeanLayer
     Tensor2D w_self_;  //!< in_dim x out_dim
     Tensor2D w_neigh_; //!< in_dim x out_dim
     Tensor2D bias_;    //!< 1 x out_dim
+
+    /** The input half of backwardInto(): @p d_src from the masked
+     *  output gradient @p dz. */
+    void backwardInputInto(const Tensor2D &dz, const SageContext &ctx,
+                           Tensor2D &d_src) const;
 
     /** Mean-aggregate src activations into per-dst rows (reshapes
      *  @p agg in place). */

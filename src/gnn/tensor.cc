@@ -299,67 +299,155 @@ matmulScalarRows(const float *adata, const float *bdata, float *cdata,
 
 #if SMARTSAGE_X86_KERNELS
 
+/*
+ * Register-blocked AVX2+FMA GEMM (Goto & van de Geijn, "Anatomy of
+ * High-Performance Matrix Multiplication", ACM TOMS 2008). A tile of
+ * MR rows x NV*8 columns of C lives in MR*NV ymm accumulators for the
+ * whole reduction: each step broadcasts MR A scalars and loads NV
+ * vectors of one B row, and C is loaded and stored once per tile.
+ *
+ * Every vector-column output element sees exactly one fused
+ * multiply-add per reduction index, in ascending order, starting from
+ * its incoming C value — a sequential std::fma chain. Tile shape, row
+ * range and thread count therefore never change a bit of the result.
+ */
+constexpr std::size_t kMR = 6;   //!< C rows per register tile
+constexpr std::size_t kMC = 96;  //!< NN rows per L2-resident A block
+constexpr std::size_t kRC = 128; //!< TN reduction rows per L2 chunk
+
 /**
- * AVX2+FMA NN microkernel, same blocking and row-range contract as
- * matmulScalarRows. The j loop runs 8 lanes wide with broadcast A
- * scalars; the fused multiply-adds mean outputs match the scalar
- * kernel to tolerance, not bitwise (still bit-identical across
- * row-block decompositions of itself).
+ * C[0..MR)[0..8*NV) += sum_k A(r, k) * B[k][0..8*NV), where A(r, k) is
+ * a[r * a_rs + k * a_ks] — (kdim, 1) strides for NN, (1, m) for TN.
+ */
+template <std::size_t MR, std::size_t NV>
+__attribute__((target("avx2,fma"))) inline void
+fmaTile(const float *a, std::size_t a_rs, std::size_t a_ks,
+        const float *b, std::size_t ldb, float *c, std::size_t ldc,
+        std::size_t kdim)
+{
+    __m256 acc[MR][NV];
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < MR; ++r)
+#pragma GCC unroll 8
+        for (std::size_t v = 0; v < NV; ++v)
+            acc[r][v] = _mm256_loadu_ps(c + r * ldc + 8 * v);
+    for (std::size_t k = 0; k < kdim; ++k) {
+        __m256 bv[NV];
+#pragma GCC unroll 8
+        for (std::size_t v = 0; v < NV; ++v)
+            bv[v] = _mm256_loadu_ps(b + k * ldb + 8 * v);
+        const float *ak = a + k * a_ks;
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < MR; ++r) {
+            const __m256 av = _mm256_broadcast_ss(ak + r * a_rs);
+#pragma GCC unroll 8
+            for (std::size_t v = 0; v < NV; ++v)
+                acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+        }
+    }
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < MR; ++r)
+#pragma GCC unroll 8
+        for (std::size_t v = 0; v < NV; ++v)
+            _mm256_storeu_ps(c + r * ldc + 8 * v, acc[r][v]);
+}
+
+/** fmaTile over @p rows C rows: full kMR tiles, then one short tile. */
+template <std::size_t NV>
+__attribute__((target("avx2,fma"))) void
+fmaRowTiles(const float *a, std::size_t a_rs, std::size_t a_ks,
+            const float *b, std::size_t ldb, float *c, std::size_t ldc,
+            std::size_t rows, std::size_t kdim)
+{
+    std::size_t i = 0;
+    for (; i + kMR <= rows; i += kMR)
+        fmaTile<kMR, NV>(a + i * a_rs, a_rs, a_ks, b, ldb, c + i * ldc,
+                         ldc, kdim);
+    a += i * a_rs;
+    c += i * ldc;
+    switch (rows - i) {
+    case 5:
+        fmaTile<5, NV>(a, a_rs, a_ks, b, ldb, c, ldc, kdim);
+        break;
+    case 4:
+        fmaTile<4, NV>(a, a_rs, a_ks, b, ldb, c, ldc, kdim);
+        break;
+    case 3:
+        fmaTile<3, NV>(a, a_rs, a_ks, b, ldb, c, ldc, kdim);
+        break;
+    case 2:
+        fmaTile<2, NV>(a, a_rs, a_ks, b, ldb, c, ldc, kdim);
+        break;
+    case 1:
+        fmaTile<1, NV>(a, a_rs, a_ks, b, ldb, c, ldc, kdim);
+        break;
+    default:
+        break;
+    }
+}
+
+/**
+ * Scalar tail columns [n - n % 8, n) of C += A(r, k) * B, in four-k
+ * groups, then single k. The grouping fixes these outputs' rounding:
+ * changing it changes the trained parameters of any layer whose width
+ * is not a multiple of 8.
+ */
+__attribute__((target("avx2,fma"))) void
+fmaTailColumns(const float *a, std::size_t a_rs, std::size_t a_ks,
+               const float *b, std::size_t ldb, float *c, std::size_t ldc,
+               std::size_t rows, std::size_t kdim, std::size_t n)
+{
+    const std::size_t j0 = n - n % 8;
+    if (j0 == n)
+        return;
+    for (std::size_t i = 0; i < rows; ++i) {
+        const float *ai = a + i * a_rs;
+        float *crow = c + i * ldc;
+        std::size_t k = 0;
+        for (; k + 4 <= kdim; k += 4) {
+            const float w0 = ai[k * a_ks], w1 = ai[(k + 1) * a_ks];
+            const float w2 = ai[(k + 2) * a_ks], w3 = ai[(k + 3) * a_ks];
+            const float *b0 = b + k * ldb;
+            const float *b1 = b0 + ldb, *b2 = b1 + ldb, *b3 = b2 + ldb;
+            for (std::size_t j = j0; j < n; ++j)
+                crow[j] += w0 * b0[j] + w1 * b1[j] + w2 * b2[j] +
+                           w3 * b3[j];
+        }
+        for (; k < kdim; ++k) {
+            const float w = ai[k * a_ks];
+            const float *b0 = b + k * ldb;
+            for (std::size_t j = j0; j < n; ++j)
+                crow[j] += w * b0[j];
+        }
+    }
+}
+
+/**
+ * AVX2+FMA NN kernel over rows [i0, i1) of C, same row-range contract
+ * as matmulScalarRows. Rows are walked in kMC-row blocks so the A block
+ * stays in L2 across the block's column panels: 16 wide, then one 8
+ * wide.
  */
 __attribute__((target("avx2,fma"))) void
 matmulAvx2Rows(const float *adata, const float *bdata, float *cdata,
                std::size_t i0, std::size_t i1, std::size_t kdim,
                std::size_t n)
 {
-    for (std::size_t kk = 0; kk < kdim; kk += kKB) {
-        const std::size_t kb = std::min(kKB, kdim - kk);
-        for (std::size_t jj = 0; jj < n; jj += kJB) {
-            const std::size_t jb = std::min(kJB, n - jj);
-            for (std::size_t i = i0; i < i1; ++i) {
-                const float *arow = adata + i * kdim + kk;
-                float *crow = cdata + i * n + jj;
-                std::size_t k = 0;
-                for (; k + 4 <= kb; k += 4) {
-                    const __m256 a0 = _mm256_set1_ps(arow[k]);
-                    const __m256 a1 = _mm256_set1_ps(arow[k + 1]);
-                    const __m256 a2 = _mm256_set1_ps(arow[k + 2]);
-                    const __m256 a3 = _mm256_set1_ps(arow[k + 3]);
-                    const float *b0 = bdata + (kk + k) * n + jj;
-                    const float *b1 = b0 + n, *b2 = b1 + n, *b3 = b2 + n;
-                    std::size_t j = 0;
-                    for (; j + 8 <= jb; j += 8) {
-                        __m256 acc = _mm256_loadu_ps(crow + j);
-                        acc = _mm256_fmadd_ps(
-                            a0, _mm256_loadu_ps(b0 + j), acc);
-                        acc = _mm256_fmadd_ps(
-                            a1, _mm256_loadu_ps(b1 + j), acc);
-                        acc = _mm256_fmadd_ps(
-                            a2, _mm256_loadu_ps(b2 + j), acc);
-                        acc = _mm256_fmadd_ps(
-                            a3, _mm256_loadu_ps(b3 + j), acc);
-                        _mm256_storeu_ps(crow + j, acc);
-                    }
-                    for (; j < jb; ++j)
-                        crow[j] += arow[k] * b0[j] + arow[k + 1] * b1[j] +
-                                   arow[k + 2] * b2[j] +
-                                   arow[k + 3] * b3[j];
-                }
-                for (; k < kb; ++k) {
-                    const __m256 a0 = _mm256_set1_ps(arow[k]);
-                    const float *b0 = bdata + (kk + k) * n + jj;
-                    std::size_t j = 0;
-                    for (; j + 8 <= jb; j += 8) {
-                        __m256 acc = _mm256_loadu_ps(crow + j);
-                        acc = _mm256_fmadd_ps(
-                            a0, _mm256_loadu_ps(b0 + j), acc);
-                        _mm256_storeu_ps(crow + j, acc);
-                    }
-                    for (; j < jb; ++j)
-                        crow[j] += arow[k] * b0[j];
-                }
-            }
-        }
+    const std::size_t n8 = n - n % 8;
+    for (std::size_t ib = i0; ib < i1; ib += kMC) {
+        const std::size_t rows = std::min(kMC, i1 - ib);
+        const float *ablock = adata + ib * kdim;
+        float *cblock = cdata + ib * n;
+        std::size_t j = 0;
+        for (; j + 16 <= n8; j += 16)
+            fmaRowTiles<2>(ablock, kdim, 1, bdata + j, n, cblock + j, n,
+                           rows, kdim);
+        if (j < n8)
+            fmaRowTiles<1>(ablock, kdim, 1, bdata + j, n, cblock + j, n,
+                           rows, kdim);
     }
+    fmaTailColumns(adata + i0 * kdim, kdim, 1, bdata, n, cdata + i0 * n,
+                   n, i1 - i0, kdim, n);
 }
 
 #endif // SMARTSAGE_X86_KERNELS
@@ -456,58 +544,43 @@ matmulTNTiled(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 
 #if SMARTSAGE_X86_KERNELS
 
-/** AVX2+FMA variant of matmulTNTiled: same 4-row B panels, j loop
- *  8 lanes wide with broadcast A weights. */
+/**
+ * AVX2+FMA TN kernel, C[i][j] = sum_r A[r][i] * B[r][j]: the register
+ * tiles of matmulAvx2Rows with A read down its columns. The reduction
+ * runs in kRC-row chunks so the A and B chunks stay in L2; each chunk
+ * continues every accumulator's ascending-r FMA chain from the C value
+ * the previous chunk stored.
+ *
+ * Each chunk's 16-column B panels are copied to a contiguous buffer
+ * first: read in place at a row stride of n floats (a power of two for
+ * the model widths) the panel maps to a handful of L1 sets, and every
+ * register tile down the m rows would refetch it from L2.
+ */
 __attribute__((target("avx2,fma"))) void
 matmulTNAvx2(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 {
     const std::size_t rdim = a.rows(), m = a.cols(), n = b.cols();
+    const std::size_t n8 = n - n % 8;
     const float *adata = a.data().data();
     const float *bdata = b.data().data();
     float *cdata = c.data().data();
+    alignas(32) float panel[kRC * 16];
 
-    std::size_t r = 0;
-    for (; r + 4 <= rdim; r += 4) {
-        const float *a0 = adata + r * m;
-        const float *a1 = a0 + m, *a2 = a1 + m, *a3 = a2 + m;
-        const float *b0 = bdata + r * n;
-        const float *b1 = b0 + n, *b2 = b1 + n, *b3 = b2 + n;
-        for (std::size_t i = 0; i < m; ++i) {
-            const __m256 w0 = _mm256_set1_ps(a0[i]);
-            const __m256 w1 = _mm256_set1_ps(a1[i]);
-            const __m256 w2 = _mm256_set1_ps(a2[i]);
-            const __m256 w3 = _mm256_set1_ps(a3[i]);
-            float *crow = cdata + i * n;
-            std::size_t j = 0;
-            for (; j + 8 <= n; j += 8) {
-                __m256 acc = _mm256_loadu_ps(crow + j);
-                acc = _mm256_fmadd_ps(w0, _mm256_loadu_ps(b0 + j), acc);
-                acc = _mm256_fmadd_ps(w1, _mm256_loadu_ps(b1 + j), acc);
-                acc = _mm256_fmadd_ps(w2, _mm256_loadu_ps(b2 + j), acc);
-                acc = _mm256_fmadd_ps(w3, _mm256_loadu_ps(b3 + j), acc);
-                _mm256_storeu_ps(crow + j, acc);
-            }
-            for (; j < n; ++j)
-                crow[j] += a0[i] * b0[j] + a1[i] * b1[j] +
-                           a2[i] * b2[j] + a3[i] * b3[j];
+    for (std::size_t r0 = 0; r0 < rdim; r0 += kRC) {
+        const std::size_t rc = std::min(kRC, rdim - r0);
+        const float *achunk = adata + r0 * m;
+        const float *bchunk = bdata + r0 * n;
+        std::size_t j = 0;
+        for (; j + 16 <= n8; j += 16) {
+            for (std::size_t r = 0; r < rc; ++r)
+                std::copy_n(bchunk + r * n + j, 16, panel + r * 16);
+            fmaRowTiles<2>(achunk, 1, m, panel, 16, cdata + j, n, m, rc);
         }
+        if (j < n8)
+            fmaRowTiles<1>(achunk, 1, m, bchunk + j, n, cdata + j, n, m,
+                           rc);
     }
-    for (; r < rdim; ++r) {
-        const float *arow = adata + r * m;
-        const float *brow = bdata + r * n;
-        for (std::size_t i = 0; i < m; ++i) {
-            const __m256 w = _mm256_set1_ps(arow[i]);
-            float *crow = cdata + i * n;
-            std::size_t j = 0;
-            for (; j + 8 <= n; j += 8) {
-                __m256 acc = _mm256_loadu_ps(crow + j);
-                acc = _mm256_fmadd_ps(w, _mm256_loadu_ps(brow + j), acc);
-                _mm256_storeu_ps(crow + j, acc);
-            }
-            for (; j < n; ++j)
-                crow[j] += arow[i] * brow[j];
-        }
-    }
+    fmaTailColumns(adata, 1, m, bdata, n, cdata, n, m, rdim, n);
 }
 
 #endif // SMARTSAGE_X86_KERNELS

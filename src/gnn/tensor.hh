@@ -132,10 +132,12 @@ class ScopedKernelMode
  * entirely: the reference loops stay the golden baseline for every
  * flavor.
  *
- * Numerics: the AVX2 GEMMs fuse multiply-add and reorder the k
- * reduction, so outputs match Scalar to tolerance, not bitwise. The
- * row microkernels (rowAccumulate/rowAccumulateScale) are elementwise
- * and bit-identical across flavors.
+ * Numerics: the AVX2 GEMMs fuse multiply-add, so outputs match Scalar
+ * to tolerance, not bitwise. Every vector column (all but the last
+ * n % 8) of the AVX2 NN and TN GEMMs equals a sequential std::fma
+ * chain in ascending k, so their tiling and thread count never change
+ * a bit. The row microkernels (rowAccumulate/rowAccumulateScale) are
+ * elementwise and bit-identical across flavors.
  */
 enum class KernelDispatch { Auto, Scalar, Avx2 };
 

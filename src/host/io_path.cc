@@ -174,6 +174,7 @@ MmapEdgeStore::resetStore()
 {
     cache_.reset();
     faults_ = 0;
+    ssd_.reset();
 }
 
 DirectIoEdgeStore::DirectIoEdgeStore(const HostConfig &config,
@@ -266,6 +267,7 @@ DirectIoEdgeStore::resetStore()
 {
     cache_.reset();
     submits_ = 0;
+    ssd_.reset();
 }
 
 PmemEdgeStore::PmemEdgeStore(const HostConfig &config)

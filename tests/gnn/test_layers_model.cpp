@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <tuple>
 
 #include "gnn/feature_table.hh"
 #include "gnn/layers.hh"
@@ -254,6 +256,70 @@ TEST(SageModel, AccuracyBeatsChanceAfterTraining)
     double acc = model.evaluate(sampler.sample(g, targets, rng), ft);
     EXPECT_GT(acc, 0.5); // chance = 0.25
 }
+
+/** (KernelMode, KernelDispatch, {in, hidden, classes}) */
+using SkipParam =
+    std::tuple<KernelMode, KernelDispatch, std::array<unsigned, 3>>;
+
+class SageModelInputGradSkip : public ::testing::TestWithParam<SkipParam>
+{
+};
+
+TEST_P(SageModelInputGradSkip, TrainStepMatchesFullBackward)
+{
+    // trainStep never computes layer 0's input gradient. Spelling the
+    // step out with the full backwardInto on every layer must leave
+    // exactly the same parameters after several steps.
+    const auto [mode, dispatch, widths] = GetParam();
+    ScopedKernelMode mode_guard(mode);
+    ScopedKernelDispatch dispatch_guard(dispatch);
+
+    PowerLawParams gp;
+    gp.num_nodes = 1024;
+    gp.avg_degree = 16;
+    CsrGraph g = generatePowerLaw(gp);
+
+    ModelConfig mc;
+    mc.in_dim = widths[0];
+    mc.hidden_dim = widths[1];
+    mc.num_classes = widths[2];
+    mc.depth = 2;
+    mc.learning_rate = 0.1f;
+    SageModel fast(mc), full(mc);
+    FeatureTable ft(g.numNodes(), mc.in_dim, mc.num_classes);
+    SageSampler sampler({8, 4});
+    Rng rng(21);
+
+    std::vector<SageContext> ctxs;
+    SageLayerGrads grads;
+    Tensor2D d_a, d_b;
+    for (int step = 0; step < 5; ++step) {
+        auto targets = selectTargets(g, 64, rng);
+        Subgraph sg = sampler.sample(g, targets, rng);
+        const double loss = fast.trainStep(sg, ft);
+
+        Tensor2D logits = full.forward(sg, ft, &ctxs);
+        const double full_loss =
+            softmaxCrossEntropy(logits, ft.labels(sg.targets()), d_a);
+        EXPECT_EQ(loss, full_loss) << "step " << step;
+        Tensor2D *d = &d_a, *dn = &d_b;
+        for (std::size_t l = full.layers().size(); l-- > 0;) {
+            full.mutableLayers()[l].backwardInto(*d, ctxs[l], grads, *dn);
+            full.mutableLayers()[l].applyGrads(grads, mc.learning_rate);
+            std::swap(d, dn);
+        }
+        ASSERT_EQ(fast.stateHash(), full.stateHash()) << "step " << step;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesFlavorsWidths, SageModelInputGradSkip,
+    ::testing::Combine(
+        ::testing::Values(KernelMode::Tiled, KernelMode::Naive),
+        ::testing::Values(KernelDispatch::Auto, KernelDispatch::Scalar,
+                          KernelDispatch::Avx2),
+        ::testing::Values(std::array<unsigned, 3>{19, 37, 11},
+                          std::array<unsigned, 3>{256, 256, 16})));
 
 TEST(SageModelDeath, DepthMismatchPanics)
 {

@@ -130,6 +130,23 @@ TEST(Serving, RerunIsBitReproducible)
     EXPECT_DOUBLE_EQ(ra.latency_us.sum(), rb.latency_us.sum());
 }
 
+TEST(Serving, ReusedSystemStartsFromAColdSsd)
+{
+    // A second run on the same system must not inherit the first run's
+    // SSD busy-until timelines: each of the host SSD paths serves the
+    // same request stream with the same tail as a fresh system.
+    ServingConfig cfg = servingConfig(100000);
+    for (const char *backend : {"ssd-mmap", "direct-io"}) {
+        GnnSystem fresh(servingSystem(backend), smallWorkload());
+        const ServingResult cold = runServingLoad(fresh, cfg);
+        GnnSystem reused(servingSystem(backend), smallWorkload());
+        runServingLoad(reused, cfg);
+        const ServingResult again = runServingLoad(reused, cfg);
+        EXPECT_DOUBLE_EQ(again.p99_us(), cold.p99_us()) << backend;
+        EXPECT_EQ(again.makespan, cold.makespan) << backend;
+    }
+}
+
 TEST(Serving, FixedRateArrivalsAreDeterministicToo)
 {
     ServingConfig cfg = servingConfig(30000);
